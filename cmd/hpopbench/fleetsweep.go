@@ -178,45 +178,52 @@ func fleetOnePoint(sources, rounds, serves, keySpace int, seed uint64) (fleetPoi
 	}
 
 	// Measured ingest: a worker per core drains the report stream, the way
-	// concurrent HTTP handlers would hit the sharded aggregator.
+	// concurrent HTTP handlers would hit the sharded aggregator. Rounds are
+	// ingested one after another: a source sends its next report only once
+	// the previous one is acked, so a source's round r+1 report can never
+	// overtake its round r report (the aggregator would drop the older one
+	// as stale).
 	workers := runtime.GOMAXPROCS(0)
 	pt.IngestWorkers = workers
-	var idx, applied int64
+	var idx, end, applied int64
 	var mu sync.Mutex
 	next := func() *hpop.TelemetryReport {
 		mu.Lock()
 		defer mu.Unlock()
-		if idx >= int64(len(reports)) {
+		if idx >= end {
 			return nil
 		}
 		r := reports[idx]
 		idx++
 		return r
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
+	errCh := make(chan error, workers*rounds)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var n int64
-			for rep := next(); rep != nil; rep = next() {
-				ok, err := a.Ingest(rep)
-				if err != nil {
-					errCh <- err
-					return
+	for end < int64(len(reports)) {
+		end += int64(sources)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var n int64
+				for rep := next(); rep != nil; rep = next() {
+					ok, err := a.Ingest(rep)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if ok {
+						n++
+					}
 				}
-				if ok {
-					n++
-				}
-			}
-			mu.Lock()
-			applied += n
-			mu.Unlock()
-		}()
+				mu.Lock()
+				applied += n
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
 	select {
 	case err := <-errCh:

@@ -50,12 +50,16 @@ type Decision struct {
 	Status int
 }
 
-// Injector evaluates a Schedule request by request. All state is atomic;
-// one injector may be shared by many clients and listeners.
+// Injector evaluates a Schedule request by request. It is safe for
+// concurrent use; one injector may be shared by many clients and listeners.
 type Injector struct {
 	sched *Schedule
+	// mu advances one request's rule counters as a group, so each request
+	// draws the same (rule, k) pairs it would draw in some serial order and
+	// fault totals do not depend on goroutine interleaving.
+	mu sync.Mutex
 	// counts[i] counts requests matching rule i's filter (window position).
-	counts []atomic.Uint64
+	counts []uint64
 	// injected[k] counts fired faults per kind.
 	injected [kindCount]atomic.Int64
 
@@ -66,7 +70,7 @@ type Injector struct {
 
 // NewInjector builds an injector for the schedule.
 func NewInjector(s *Schedule) *Injector {
-	return &Injector{sched: s, counts: make([]atomic.Uint64, len(s.Rules))}
+	return &Injector{sched: s, counts: make([]uint64, len(s.Rules))}
 }
 
 // Schedule returns the schedule being evaluated.
@@ -78,12 +82,14 @@ func (in *Injector) Schedule() *Schedule { return in.sched }
 // per-rule fault budgets are a pure function of the seed.
 func (in *Injector) Decide(target string) Decision {
 	d := Decision{Rule: -1}
+	in.mu.Lock()
 	for i := range in.sched.Rules {
 		r := &in.sched.Rules[i]
 		if r.Match != "" && !strings.Contains(target, r.Match) {
 			continue
 		}
-		k := in.counts[i].Add(1) - 1
+		k := in.counts[i]
+		in.counts[i]++
 		if d.Kind != KindNone {
 			continue // already fired; just advance later counters
 		}
@@ -95,6 +101,7 @@ func (in *Injector) Decide(target string) Decision {
 		}
 		d = Decision{Kind: r.Kind, Rule: i, Dur: r.Dur, Status: r.Status}
 	}
+	in.mu.Unlock()
 	if d.Kind != KindNone {
 		in.injected[d.Kind].Add(1)
 		in.Metrics.Inc("faults.injected." + d.Kind.String())

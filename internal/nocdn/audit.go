@@ -58,7 +58,6 @@ type peerAudit struct {
 	replays int64
 	bytes   int64 // claimed bytes, pre-verification — inflation registers here
 	stats   welford
-	score   float64
 	flagged bool
 	// offending holds trace IDs of rejected records (bounded), so a flagged
 	// peer's misbehaviour links straight back to the page views involved.
@@ -81,6 +80,11 @@ type peerAudit struct {
 // population mean (so honest variation between peers of different sizes
 // never explodes the z term) and rejectRate is rejects/records. A peer
 // inflating byte claims moves both terms; a replaying peer moves the second.
+//
+// Judging is O(batch), not O(audited peers): each settled batch re-judges
+// the peers it names plus the next len(batch) peers of a round-robin sweep
+// over every audited peer, so every peer is re-judged within |audited peers|
+// records and population drift still flags a peer that stopped submitting.
 type Auditor struct {
 	// Threshold is the flagging score (<= 0 means DefaultAuditThreshold).
 	Threshold float64
@@ -94,6 +98,8 @@ type Auditor struct {
 
 	mu    sync.Mutex
 	peers map[string]*peerAudit
+	order []string // peers in insertion order, the sweep's ring
+	next  int      // sweep cursor into order
 	pop   welford
 
 	metrics *hpop.Metrics
@@ -140,78 +146,24 @@ func (a *Auditor) minRecords() int64 {
 }
 
 // Observe feeds one uploaded usage record and its settlement outcome
-// (nil = credited; replayed reports nonce reuse) into the audit statistics,
-// rescoring the peer. Nil-receiver safe, like the rest of the observability
-// plumbing.
+// (nil = credited; replayed reports nonce reuse) into the audit statistics
+// as a one-record batch. Nil-receiver safe, like the rest of the
+// observability plumbing.
 func (a *Auditor) Observe(rec UsageRecord, settleErr error, replayed bool) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	pa := a.peers[rec.PeerID]
+	outcomes := []settleOutcome{{rec: rec, err: settleErr, replayed: replayed}}
+	a.observeSettled(outcomes, buildAuditDeltas(outcomes))
+}
+
+// rowLocked returns a peer's audit row, creating it (and enrolling the peer
+// in the sweep order) on first sight; a.mu must be held.
+func (a *Auditor) rowLocked(id string) *peerAudit {
+	pa := a.peers[id]
 	if pa == nil {
 		pa = &peerAudit{}
-		a.peers[rec.PeerID] = pa
+		a.peers[id] = pa
+		a.order = append(a.order, id)
 	}
-	pa.records++
-	pa.bytes += rec.Bytes
-	claimed := float64(rec.Bytes)
-	pa.stats.observe(claimed)
-	a.pop.observe(claimed)
-	a.metrics.Inc("nocdn.audit.records")
-	a.metrics.Observe("nocdn.audit.claimed_bytes", claimed)
-	if settleErr != nil {
-		pa.rejects++
-		a.metrics.Inc("nocdn.audit.rejects")
-		if replayed {
-			pa.replays++
-			a.metrics.Inc("nocdn.audit.replays")
-		}
-		if len(pa.offending) < auditMaxOffending {
-			if tc, err := hpop.ParseTraceparent(rec.Traceparent); err == nil {
-				pa.offending = append(pa.offending, tc.TraceID.String())
-			}
-		}
-	}
-	// Every record moves the population statistics, so EVERY peer's score is
-	// stale, not just the submitter's. Rescoring them all keeps the verdict
-	// independent of upload order: a peer whose inflated claims settle before
-	// the honest population exists scores low against itself at that moment,
-	// but is re-judged — and flagged — as soon as honest records arrive.
-	type flaggedPeer struct {
-		id        string
-		score     float64
-		offending []string
-	}
-	var newly []flaggedPeer
-	for id, p := range a.peers {
-		p.score = a.scoreLocked(p)
-		a.metrics.Set("nocdn.audit.peer."+id+".deviation", p.score)
-		if !p.flagged && p.records >= a.minRecords() && p.score > a.threshold() {
-			p.flagged = true
-			a.metrics.Inc("nocdn.audit.flagged")
-			newly = append(newly, flaggedPeer{id, p.score, append([]string(nil), p.offending...)})
-		}
-	}
-	sort.Slice(newly, func(i, j int) bool { return newly[i].id < newly[j].id })
-	tracer := a.tracer
-	a.mu.Unlock()
-
-	for _, fp := range newly {
-		// The audit span carries the evidence: which peer, what score, and
-		// the trace IDs of the offending records, so an operator can pull
-		// each implicated page view's full tree from /debug/trace.
-		sp := tracer.Start("nocdn.audit", "peer_flagged")
-		sp.SetLabel("peer", fp.id)
-		sp.SetLabel("score", strconv.FormatFloat(fp.score, 'g', 4, 64))
-		for i, id := range fp.offending {
-			sp.SetLabel(fmt.Sprintf("offending_trace_%d", i), id)
-		}
-		sp.End()
-		if a.OnFlag != nil {
-			a.OnFlag(fp.id)
-		}
-	}
+	return pa
 }
 
 // FlagTampered flags a peer on direct cryptographic evidence — a sampled
@@ -225,11 +177,7 @@ func (a *Auditor) FlagTampered(peerID string, cause error) {
 		return
 	}
 	a.mu.Lock()
-	pa := a.peers[peerID]
-	if pa == nil {
-		pa = &peerAudit{}
-		a.peers[peerID] = pa
-	}
+	pa := a.rowLocked(peerID)
 	already := pa.flagged
 	pa.flagged = true
 	if !already {
@@ -339,7 +287,9 @@ func (a *Auditor) restoreState(st auditState) {
 	defer a.mu.Unlock()
 	a.pop = welford{n: st.Pop.N, mean: st.Pop.Mean, m2: st.Pop.M2}
 	a.peers = make(map[string]*peerAudit, len(st.Peers))
+	a.order, a.next = make([]string, 0, len(st.Peers)), 0
 	for _, ps := range st.Peers {
+		a.order = append(a.order, ps.PeerID)
 		a.peers[ps.PeerID] = &peerAudit{
 			records:   ps.Records,
 			rejects:   ps.Rejects,
@@ -356,11 +306,7 @@ func (a *Auditor) restoreState(st auditState) {
 // statistics; a.mu must be held.
 func (a *Auditor) mergeDeltasLocked(deltas []walAuditDelta) {
 	for _, d := range deltas {
-		pa := a.peers[d.PeerID]
-		if pa == nil {
-			pa = &peerAudit{}
-			a.peers[d.PeerID] = pa
-		}
+		pa := a.rowLocked(d.PeerID)
 		pa.records += d.Records
 		pa.rejects += d.Rejects
 		pa.replays += d.Replays
@@ -376,10 +322,9 @@ func (a *Auditor) mergeDeltasLocked(deltas []walAuditDelta) {
 }
 
 // applyDeltas folds journaled per-batch audit contributions back in during
-// replay. Statistics only: scores are recomputed afterwards by rescoreAll,
-// and flags are NOT re-derived here (they replay from their own audit-flag
-// records, so recovery can't fire OnFlag side effects twice). Nil-receiver
-// safe.
+// replay. Statistics only: flags are NOT re-derived here (they replay from
+// their own audit-flag records, so recovery can't fire OnFlag side effects
+// twice). Nil-receiver safe.
 func (a *Auditor) applyDeltas(deltas []walAuditDelta) {
 	if a == nil || len(deltas) == 0 {
 		return
@@ -442,13 +387,12 @@ func buildAuditDeltas(outcomes []settleOutcome) []walAuditDelta {
 	return out
 }
 
-// observeSettled applies one settled batch's outcomes at commit time: the
-// same statistics, metrics, rescoring, and flagging semantics as calling
-// Observe per record, but the statistics arrive as the pre-built deltas
-// (identical to the journaled ones — what you replay is what you applied)
-// and the whole-population rescore runs once per batch instead of once per
-// record. Newly flagged peers get their audit span and OnFlag callback
-// outside the lock, exactly like Observe. Nil-receiver safe.
+// observeSettled applies one settled batch's outcomes at commit time. The
+// statistics arrive as the pre-built deltas (identical to the journaled ones
+// — what you replay is what you applied); then the batch's own peers and the
+// next len(outcomes) peers of the sweep (at most one lap) are judged against
+// the updated population. Newly flagged peers get their audit span and OnFlag callback
+// outside the lock. Nil-receiver safe.
 func (a *Auditor) observeSettled(outcomes []settleOutcome, deltas []walAuditDelta) {
 	if a == nil || len(outcomes) == 0 {
 		return
@@ -465,26 +409,22 @@ func (a *Auditor) observeSettled(outcomes []settleOutcome, deltas []walAuditDelt
 			}
 		}
 	}
-	type flaggedPeer struct {
-		id        string
-		score     float64
-		offending []string
-	}
 	var newly []flaggedPeer
-	for id, p := range a.peers {
-		p.score = a.scoreLocked(p)
-		a.metrics.Set("nocdn.audit.peer."+id+".deviation", p.score)
-		if !p.flagged && p.records >= a.minRecords() && p.score > a.threshold() {
-			p.flagged = true
-			a.metrics.Inc("nocdn.audit.flagged")
-			newly = append(newly, flaggedPeer{id, p.score, append([]string(nil), p.offending...)})
-		}
+	for _, d := range deltas {
+		newly = a.judgeLocked(d.PeerID, newly)
+	}
+	for i := 0; i < min(len(outcomes), len(a.order)); i++ {
+		newly = a.judgeLocked(a.order[a.next], newly)
+		a.next = (a.next + 1) % len(a.order)
 	}
 	sort.Slice(newly, func(i, j int) bool { return newly[i].id < newly[j].id })
-	tracer := a.tracer
+	tracer, onFlag := a.tracer, a.OnFlag
 	a.mu.Unlock()
 
 	for _, fp := range newly {
+		// The audit span carries the evidence: which peer, what score, and
+		// the trace IDs of the offending records, so an operator can pull
+		// each implicated page view's full tree from /debug/trace.
 		sp := tracer.Start("nocdn.audit", "peer_flagged")
 		sp.SetLabel("peer", fp.id)
 		sp.SetLabel("score", strconv.FormatFloat(fp.score, 'g', 4, 64))
@@ -492,10 +432,33 @@ func (a *Auditor) observeSettled(outcomes []settleOutcome, deltas []walAuditDelt
 			sp.SetLabel(fmt.Sprintf("offending_trace_%d", i), id)
 		}
 		sp.End()
-		if a.OnFlag != nil {
-			a.OnFlag(fp.id)
+		if onFlag != nil {
+			onFlag(fp.id)
 		}
 	}
+}
+
+// flaggedPeer is one newly flagged peer, carried out of the lock to its
+// audit span and OnFlag callback.
+type flaggedPeer struct {
+	id        string
+	score     float64
+	offending []string
+}
+
+// judgeLocked scores one peer against the current population, refreshes its
+// deviation gauge, and flags it (once) when it is eligible and over the
+// threshold, appending it to newly; a.mu must be held.
+func (a *Auditor) judgeLocked(id string, newly []flaggedPeer) []flaggedPeer {
+	p := a.peers[id]
+	score := a.scoreLocked(p)
+	a.metrics.Set("nocdn.audit.peer."+id+".deviation", score)
+	if !p.flagged && p.records >= a.minRecords() && score > a.threshold() {
+		p.flagged = true
+		a.metrics.Inc("nocdn.audit.flagged")
+		newly = append(newly, flaggedPeer{id, score, append([]string(nil), p.offending...)})
+	}
+	return newly
 }
 
 // restoreFlag marks a peer flagged during replay without firing OnFlag (the
@@ -506,27 +469,7 @@ func (a *Auditor) restoreFlag(peerID string) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pa := a.peers[peerID]
-	if pa == nil {
-		pa = &peerAudit{}
-		a.peers[peerID] = pa
-	}
-	pa.flagged = true
-}
-
-// rescoreAll recomputes every peer's deviation score after a restore, so
-// /debug/audit reads identically to the pre-crash origin. No flagging and no
-// OnFlag — this is bookkeeping, not judgment. Nil-receiver safe.
-func (a *Auditor) rescoreAll() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for id, pa := range a.peers {
-		pa.score = a.scoreLocked(pa)
-		a.metrics.Set("nocdn.audit.peer."+id+".deviation", pa.score)
-	}
+	a.rowLocked(peerID).flagged = true
 }
 
 // scoreLocked computes a peer's deviation score; a.mu must be held.
@@ -568,7 +511,9 @@ type AuditSnapshot struct {
 }
 
 // Snapshot returns the current audit state, peers sorted by descending
-// deviation score (ties by ID, so output is deterministic).
+// deviation score (ties by ID, so output is deterministic). Deviations are
+// computed on read against the current population, so they are never stale
+// for a peer the sweep has not reached yet.
 func (a *Auditor) Snapshot() AuditSnapshot {
 	if a == nil {
 		return AuditSnapshot{Peers: []PeerAudit{}}
@@ -589,7 +534,7 @@ func (a *Auditor) Snapshot() AuditSnapshot {
 			ClaimedByte: pa.bytes,
 			MeanBytes:   pa.stats.mean,
 			StddevBytes: pa.stats.stddev(),
-			Deviation:   pa.score,
+			Deviation:   a.scoreLocked(pa),
 			Flagged:     pa.flagged,
 			Offending:   append([]string(nil), pa.offending...),
 		})

@@ -174,3 +174,62 @@ func TestAuditorNilSafety(t *testing.T) {
 		t.Errorf("nil auditor snapshot = %+v, want empty peers slice", snap)
 	}
 }
+
+// seededAuditor builds an auditor with metrics and n honest audited peers,
+// each already judged once, so every per-peer deviation gauge exists.
+func seededAuditor(n int) *Auditor {
+	a := NewAuditor()
+	a.SetMetrics(hpop.NewMetrics())
+	const perBatch = 100
+	for lo := 0; lo < n; lo += perBatch {
+		var outcomes []settleOutcome
+		for i := lo; i < lo+perBatch && i < n; i++ {
+			rec := UsageRecord{PeerID: fmt.Sprintf("peer-%06d", i), Bytes: 1000}
+			for r := 0; r < DefaultAuditMinRecords; r++ {
+				outcomes = append(outcomes, settleOutcome{rec: rec})
+			}
+		}
+		a.observeSettled(outcomes, buildAuditDeltas(outcomes))
+	}
+	return a
+}
+
+// honestBatch is one 16-record batch from a single peer, with its deltas.
+func honestBatch(peerID string) ([]settleOutcome, []walAuditDelta) {
+	outcomes := make([]settleOutcome, 16)
+	for i := range outcomes {
+		outcomes[i] = settleOutcome{rec: UsageRecord{PeerID: peerID, Bytes: 1000}}
+	}
+	return outcomes, buildAuditDeltas(outcomes)
+}
+
+// TestAuditObserveSettledAllocsIndependentOfFleet: judging one batch costs
+// the same at 100 and at 10,000 audited peers — the batch's own peers plus
+// a bounded sweep, never a rescan of the whole fleet.
+func TestAuditObserveSettledAllocsIndependentOfFleet(t *testing.T) {
+	allocs := func(n int) float64 {
+		a := seededAuditor(n)
+		outcomes, deltas := honestBatch("peer-000000")
+		return testing.AllocsPerRun(50, func() { a.observeSettled(outcomes, deltas) })
+	}
+	small, large := allocs(100), allocs(10000)
+	if small != large {
+		t.Fatalf("allocs per 16-record batch = %v at 100 peers, %v at 10,000: audit work grows with the fleet", small, large)
+	}
+}
+
+// BenchmarkAuditObserveSettled times one 16-record single-peer batch
+// against a growing audited fleet.
+func BenchmarkAuditObserveSettled(b *testing.B) {
+	for _, n := range []int{100, 10000, 100000} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			a := seededAuditor(n)
+			outcomes, deltas := honestBatch("peer-000000")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.observeSettled(outcomes, deltas)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -359,6 +360,114 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	}
 	if !flagged {
 		t.Fatal("audit flag lost across recovery")
+	}
+}
+
+// auditFlagged reports whether /debug/audit shows the peer flagged.
+func auditFlagged(t *testing.T, o *Origin, peerID string) bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	o.Audit().Handler()(rec, httptest.NewRequest("GET", "/debug/audit", nil))
+	var snap AuditSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, pa := range snap.Peers {
+		if pa.PeerID == peerID {
+			return pa.Flagged
+		}
+	}
+	return false
+}
+
+// TestAuditDriftFlagSurvivesCrash: a peer that settles three small records
+// and then falls silent is pushed over the threshold purely by population
+// drift. The auditor's sweep — not a batch naming the peer — must flag it,
+// journal the audit_flag, pull it from pooled maps, and the flag must
+// survive a kill and recovery.
+func TestAuditDriftFlagSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 8)
+	w1, err := o.AssignWrapper("p", "client-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifter := anyPeer(w1)
+	var small []UsageRecord
+	for i := 0; i < DefaultAuditMinRecords; i++ {
+		small = append(small, signedRecord(t, w1, drifter, 5, fmt.Sprintf("drift-%d", i)))
+	}
+	if n := o.SettleRecords(small); n != len(small) {
+		t.Fatalf("settled %d of the drifter's records, want %d", n, len(small))
+	}
+	if auditFlagged(t, o, drifter) {
+		t.Fatal("drifter flagged before the population moved")
+	}
+
+	// The rest of the fleet settles larger (still honest) claims; the
+	// drifter never submits again.
+	for i := 0; i < 50 && !auditFlagged(t, o, drifter); i++ {
+		w, err := o.GenerateWrapper("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch []UsageRecord
+		for id := range w.Keys {
+			if id != drifter {
+				batch = append(batch, signedRecord(t, w, id, 100, fmt.Sprintf("fleet-%d-%s", i, id)))
+			}
+		}
+		if n := o.SettleRecords(batch); n != len(batch) {
+			t.Fatalf("round %d: settled %d of %d honest records", i, n, len(batch))
+		}
+	}
+	if !auditFlagged(t, o, drifter) {
+		t.Fatal("population drift never flagged the silent drifter")
+	}
+	for _, pa := range o.Audit().Snapshot().Peers {
+		if pa.Flagged && pa.PeerID != drifter {
+			t.Fatalf("honest peer %s flagged (deviation %v)", pa.PeerID, pa.Deviation)
+		}
+	}
+	w2, err := o.AssignWrapper("p", "client-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrapperPeers(w2)[drifter] {
+		t.Fatalf("pooled map still names flagged drifter %s", drifter)
+	}
+	// Crash: abandon the origin. The journal must already hold the flag.
+	journaled := false
+	if _, err := scanWALDir(dir, 0, [32]byte{}, func(fr walFrame) error {
+		if fr.typ != walAuditFlag {
+			return nil
+		}
+		var rec walAuditFlagRec
+		if err := json.Unmarshal(fr.payload, &rec); err != nil {
+			return err
+		}
+		journaled = journaled || (rec.ID == drifter && rec.Cause == "audit_flag")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !journaled {
+		t.Fatal("drift flag not journaled as an audit_flag record")
+	}
+
+	o2, _ := recoverOrigin(t, dir, WALOptions{Fsync: FsyncNever})
+	if !auditFlagged(t, o2, drifter) {
+		t.Fatal("drift flag lost across recovery")
+	}
+	if !o2.AccountingFor(drifter).Suspended {
+		t.Fatal("drifter's suspension lost across recovery")
+	}
+	w3, err := o2.AssignWrapper("p", "client-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrapperPeers(w3)[drifter] {
+		t.Fatalf("recovered pooled map names flagged drifter %s", drifter)
 	}
 }
 

@@ -166,12 +166,22 @@ func BenchmarkPeerProxyThroughput(b *testing.B) {
 
 // BenchmarkPeerOriginBackfill measures the peer's miss path — origin fetch,
 // body read, cache fill — with a unique key per iteration so every request
-// is a cold miss. The interesting number is allocs/op: the body read and
-// response buffering dominate, which is what the pooled-buffer fetch path
-// exists to flatten.
-func BenchmarkPeerOriginBackfill(b *testing.B) {
+// is a cold miss. The interesting number is B/op: the body read dominates.
+// This origin announces no Content-Length (chunked framing), so the peer
+// cannot presize the read and falls back to io.ReadAll's growth.
+func BenchmarkPeerOriginBackfill(b *testing.B) { benchOriginBackfill(b, false) }
+
+// BenchmarkPeerOriginBackfillSized is the same miss path against an origin
+// that announces Content-Length, as nocdn's own origin does: the body lands
+// in one exact-size allocation.
+func BenchmarkPeerOriginBackfillSized(b *testing.B) { benchOriginBackfill(b, true) }
+
+func benchOriginBackfill(b *testing.B, sized bool) {
 	payload := make([]byte, 64<<10)
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if sized {
+			w.Header().Set("Content-Length", fmt.Sprint(len(payload)))
+		}
 		w.Write(payload)
 	}))
 	defer origin.Close()

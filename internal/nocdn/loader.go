@@ -169,7 +169,13 @@ func (g fetchGate) leave() { <-g }
 // retrying transient failures (network errors, mid-body truncation, 5xx)
 // with capped backoff. Non-5xx unacceptable statuses are permanent. The
 // retry/giveup counters land in Metrics.
-func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[string]string, body []byte, okStatus func(int) bool) ([]byte, error) {
+//
+// declared >= 0 marks an untrusted sender (a peer): it is the body size the
+// origin declared, so at most declared+1 bytes are read and a longer body
+// comes back one byte too long, failing hash verification like any other
+// wrong body, without ever being buffered whole. Only the origin is trusted
+// to size the read by its own Content-Length (declared < 0).
+func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[string]string, body []byte, declared int64, okStatus func(int) bool) ([]byte, error) {
 	pol := l.Retry
 	if pol.AttemptTimeout <= 0 {
 		pol.AttemptTimeout = l.fetchTimeout()
@@ -200,7 +206,11 @@ func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[str
 			}
 			return faults.Permanent(serr)
 		}
-		data, err := io.ReadAll(resp.Body)
+		size := resp.ContentLength
+		if declared >= 0 {
+			size = declared
+		}
+		data, err := readBody(resp.Body, size)
 		if err != nil {
 			return err // transient: truncated mid-body
 		}
@@ -243,7 +253,7 @@ func (l *Loader) fetchWrapper(ctx context.Context, parent *hpop.Span, page strin
 	if l.ClientID != "" {
 		wurl += "&client=" + url.QueryEscape(l.ClientID)
 	}
-	data, err := l.fetchBytes(ctx, http.MethodGet, wurl, traceHeader(sp, nil), nil, statusOK)
+	data, err := l.fetchBytes(ctx, http.MethodGet, wurl, traceHeader(sp, nil), nil, -1, statusOK)
 	if err != nil {
 		sp.SetError(err)
 		return nil, fmt.Errorf("nocdn: wrapper fetch: %w", err)
@@ -280,13 +290,16 @@ func traceHeader(sp *hpop.Span, hdr map[string]string) map[string]string {
 // expectHash, when non-empty, rides the request as X-NoCDN-Hash: the
 // wrapper's hash for the object, which lets the peer apply the hash-epoch
 // freshness rule (a matching cached entry is current at any age; a
-// mismatched one must be refetched, never served stale).
-func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, peerID, peerURL, provider, path, expectHash string, chunk *ChunkRef) ([]byte, error) {
+// mismatched one must be refetched, never served stale). size is the
+// object's wrapper-declared size; the peer's body is read against it (or
+// against the chunk's length), never against the peer's own figure.
+func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, peerID, peerURL, provider, path, expectHash string, size int, chunk *ChunkRef) ([]byte, error) {
 	gate.enter()
 	defer gate.leave()
 	var hdr map[string]string
 	if chunk != nil {
 		hdr = map[string]string{"Range": fmt.Sprintf("bytes=%d-%d", chunk.Offset, chunk.Offset+chunk.Length-1)}
+		size = chunk.Length
 	}
 	if expectHash != "" {
 		if hdr == nil {
@@ -296,7 +309,7 @@ func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, pee
 	}
 	hdr = traceHeader(sp, hdr)
 	start := time.Now()
-	data, err := l.fetchBytes(ctx, http.MethodGet, peerURL+"/proxy/"+provider+path, hdr, nil, statusOKPartial)
+	data, err := l.fetchBytes(ctx, http.MethodGet, peerURL+"/proxy/"+provider+path, hdr, nil, int64(size), statusOKPartial)
 	elapsed := time.Since(start).Seconds()
 	l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
 	if peerID != "" {
@@ -330,7 +343,7 @@ func (l *Loader) originFallback(ctx context.Context, gate fetchGate, parent *hpo
 	}
 	defer sp.End()
 	start := time.Now()
-	data, err := l.fetchBytes(ctx, http.MethodGet, l.OriginURL+"/content"+path, traceHeader(sp, nil), nil, statusOK)
+	data, err := l.fetchBytes(ctx, http.MethodGet, l.OriginURL+"/content"+path, traceHeader(sp, nil), nil, -1, statusOK)
 	l.Metrics.Observe("nocdn.loader.fetch_seconds", time.Since(start).Seconds())
 	sp.SetError(err)
 	return data, err
@@ -478,7 +491,7 @@ func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hp
 			continue
 		}
 		tried++
-		data, ferr := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, nil)
+		data, ferr := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, ref.Size, nil)
 		if ferr != nil {
 			lastErr = ferr
 			continue
@@ -575,7 +588,7 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 // carry sp's traceparent to the serving peer.
 func (l *Loader) fetchObject(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef) ([]byte, map[string]int64, error) {
 	if len(ref.Chunks) == 0 {
-		data, err := l.getFrom(ctx, gate, sp, ref.PeerID, ref.PeerURL, provider, ref.Path, ref.Hash, nil)
+		data, err := l.getFrom(ctx, gate, sp, ref.PeerID, ref.PeerURL, provider, ref.Path, ref.Hash, ref.Size, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -594,7 +607,7 @@ func (l *Loader) fetchObject(ctx context.Context, gate fetchGate, sp *hpop.Span,
 				errs[i] = fmt.Errorf("chunk %d: peer %s open-circuit", i, c.PeerID)
 				return
 			}
-			data, err := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, c)
+			data, err := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, ref.Size, c)
 			if err != nil {
 				errs[i] = fmt.Errorf("chunk %d: %w", i, err)
 				return
@@ -681,7 +694,9 @@ func (l *Loader) deliverRecords(ctx context.Context, gate fetchGate, parent *hpo
 			gate.enter()
 			defer gate.leave()
 			hdr := traceHeader(dsp, map[string]string{"Content-Type": "application/json"})
-			if _, err := l.fetchBytes(ctx, http.MethodPost, url+"/record", hdr, body,
+			// A 202 carries no body: declared 0 reads at most one byte of
+			// whatever the peer sends, whatever length it announces.
+			if _, err := l.fetchBytes(ctx, http.MethodPost, url+"/record", hdr, body, 0,
 				func(code int) bool { return code == http.StatusAccepted }); err != nil {
 				dsp.SetError(err)
 				return

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -47,6 +48,52 @@ var (
 func HashBytes(data []byte) string {
 	h := sha256.Sum256(data)
 	return hex.EncodeToString(h[:])
+}
+
+// readBody reads a body that should be size bytes long straight into one
+// exact-size allocation, where io.ReadAll would grow and copy its buffer
+// over and over on a multi-megabyte object. It reads at most size+1 bytes:
+// a one-byte probe confirms EOF, a body that runs past size comes back one
+// byte too long and a short one comes back short, either enough to fail the
+// caller's checks. size < 0 (no length announced) reads the body whole
+// with io.ReadAll.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	n, err := fill(r, buf)
+	if err != nil {
+		return nil, err
+	}
+	if n < len(buf) {
+		return buf[:n], nil
+	}
+	var probe [1]byte
+	if n, err = fill(r, probe[:]); err != nil {
+		return nil, err
+	}
+	if n == 1 {
+		buf = append(buf, probe[0])
+	}
+	return buf, nil
+}
+
+// fill reads r into buf until buf is full or r reports EOF, returning how
+// many bytes it read; any other read error is returned.
+func fill(r io.Reader, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		m, err := r.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // Object is one piece of site content.

@@ -495,10 +495,10 @@ func TestParseRange(t *testing.T) {
 
 func TestByteLRUEviction(t *testing.T) {
 	c := newByteLRU(100)
-	c.put("a", make([]byte, 40))
-	c.put("b", make([]byte, 40))
-	c.get("a")                   // refresh a
-	c.put("c", make([]byte, 40)) // evicts b (LRU)
+	c.put("a", make([]byte, 40), [32]byte{})
+	c.put("b", make([]byte, 40), [32]byte{})
+	c.get("a")                               // refresh a
+	c.put("c", make([]byte, 40), [32]byte{}) // evicts b (LRU)
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
@@ -506,13 +506,13 @@ func TestByteLRUEviction(t *testing.T) {
 		t.Error("recently used a evicted")
 	}
 	// Oversized object is not cached.
-	c.put("huge", make([]byte, 1000))
+	c.put("huge", make([]byte, 1000), [32]byte{})
 	if _, ok := c.get("huge"); ok {
 		t.Error("oversized object cached")
 	}
 	// Replacing a key adjusts usage.
-	c.put("a", make([]byte, 10))
-	c.put("d", make([]byte, 50))
+	c.put("a", make([]byte, 10), [32]byte{})
+	c.put("d", make([]byte, 50), [32]byte{})
 	if _, ok := c.get("a"); !ok {
 		t.Error("a lost after shrink-replace")
 	}

@@ -1482,6 +1482,7 @@ func (o *Origin) Handler() http.Handler {
 		}
 		o.wrapperBytes.Add(int64(len(body)))
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body)
 	})
 	mux.HandleFunc("/content/", func(w http.ResponseWriter, r *http.Request) {
@@ -1524,6 +1525,7 @@ func (o *Origin) Handler() http.Handler {
 			return
 		}
 		o.originBytes.Add(int64(len(obj.Data)))
+		hdr.Set("Content-Length", strconv.Itoa(len(obj.Data)))
 		w.Write(obj.Data)
 	})
 	mux.HandleFunc("/usage", func(w http.ResponseWriter, r *http.Request) {

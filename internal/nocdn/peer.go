@@ -407,48 +407,26 @@ func (t cacheTier) label() string {
 // cachePut fills the memory tier and spills whatever that evicts into the
 // disk tier. Objects too large for a memory shard go straight to disk (the
 // memory LRU would reject them), so Internet@home-scale blobs are still
-// cacheable on the appliance's disk. Hashing and segment appends happen
+// cacheable on the appliance's disk. sum is data's SHA-256, taken once by
+// whoever filled it (backfill, or the disk tier's verified read); memory
+// entries carry it, so a spill never hashes again. Segment appends happen
 // outside the shard locks.
-func (p *Peer) cachePut(key string, data []byte) {
+func (p *Peer) cachePut(key string, data []byte, sum [sha256.Size]byte) {
 	st := p.store.Load()
 	if len(data) > p.cache.maxObjectBytes() {
 		if st != nil {
-			st.put(key, data, sha256.Sum256(data))
+			st.put(key, data, sum)
 		}
 		return
 	}
-	evicted := p.cache.put(key, data)
+	evicted := p.cache.put(key, data, sum)
 	if st == nil {
 		return
 	}
 	for _, e := range evicted {
-		st.put(e.key, e.data, sha256.Sum256(e.data))
+		st.put(e.key, e.data, e.sum)
 	}
 }
-
-// readBodyPooled drains a response body through a pooled buffer, returning
-// an exact-size owned slice. io.ReadAll's repeated grow-and-copy was the
-// dominant allocation on the miss path; the pool flattens it to one
-// exact-size allocation per object (the slice the cache keeps).
-func readBodyPooled(resp *http.Response) ([]byte, error) {
-	bp := bodyBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		bp.Reset()
-		bodyBufPool.Put(bp)
-	}()
-	if n := resp.ContentLength; n > 0 && int64(bp.Cap()) < n {
-		bp.Grow(int(n))
-	}
-	if _, err := bp.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	data := make([]byte, bp.Len())
-	copy(data, bp.Bytes())
-	return data, nil
-}
-
-// bodyBufPool recycles origin-backfill read buffers across misses.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Handler returns the peer's HTTP surface:
 //
@@ -557,42 +535,14 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.tier == tierDiskStream && out.data == nil {
-		// Too large for the memory tier: verify at rest, then let
-		// http.ServeContent stream the segment file section zero-copy
-		// (Range handling included). Tamper mode needs mutable bytes, so
-		// it falls back to a full read.
+		// Too large for the memory tier: verify at rest, then sendfile the
+		// verified bytes straight off the segment file.
 		base := provider + "|" + path
 		key := varyKey(base, p.varyNamesFor(base), r.Header)
 		p.streamOutcome(w, r, sp, origin, provider, path, key, out)
 		return
 	}
 	p.writeOutcome(w, r, out)
-}
-
-// countingResponseWriter counts bytes written so zero-copy serves still
-// feed the servedBytes ledger. It forwards ReadFrom when the underlying
-// writer supports it, preserving the sendfile fast path ServeContent's
-// io.Copy probes for.
-type countingResponseWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (c *countingResponseWriter) Write(b []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(b)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingResponseWriter) ReadFrom(src io.Reader) (int64, error) {
-	if rf, ok := c.ResponseWriter.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(src)
-		c.n += n
-		return n, err
-	}
-	n, err := io.Copy(struct{ io.Writer }{c.ResponseWriter}, src)
-	c.n += n
-	return n, err
 }
 
 func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
@@ -1062,10 +1012,10 @@ func (s *shardedLRU) get(key string) ([]byte, bool) {
 // put stores the entry and returns whatever the shard evicted to make room,
 // collected outside the shard lock's critical path so callers can spill
 // evictions to the disk tier without holding up that shard's lookups.
-func (s *shardedLRU) put(key string, data []byte) []lruEntry {
+func (s *shardedLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	evicted := sh.lru.put(key, data)
+	evicted := sh.lru.put(key, data, sum)
 	sh.mu.Unlock()
 	return evicted
 }
@@ -1098,6 +1048,7 @@ type byteLRU struct {
 type lruEntry struct {
 	key  string
 	data []byte
+	sum  [sha256.Size]byte // SHA-256 of data, handed to the disk tier on spill
 }
 
 func newByteLRU(capacity int) *byteLRU {
@@ -1131,16 +1082,17 @@ func (c *byteLRU) remove(key string) {
 
 // put stores the entry, returning the entries evicted to stay within
 // capacity (the two-tier cache spills these to disk).
-func (c *byteLRU) put(key string, data []byte) []lruEntry {
+func (c *byteLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
 	if len(data) > c.capacity {
 		return nil // never cache objects larger than the whole cache
 	}
 	if el, ok := c.items[key]; ok {
-		c.used += len(data) - len(el.Value.(*lruEntry).data)
-		el.Value.(*lruEntry).data = data
+		entry := el.Value.(*lruEntry)
+		c.used += len(data) - len(entry.data)
+		entry.data, entry.sum = data, sum
 		c.order.MoveToFront(el)
 	} else {
-		el := c.order.PushFront(&lruEntry{key: key, data: data})
+		el := c.order.PushFront(&lruEntry{key: key, data: data, sum: sum})
 		c.items[key] = el
 		c.used += len(data)
 	}

@@ -8,8 +8,12 @@ package nocdn
 // directive parser and the hash-epoch freshness rule this implements.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -315,7 +319,7 @@ func (p *Peer) cacheGet(key string) (data []byte, tier cacheTier, ok bool) {
 		// sees a clean miss and refetches — corrupt bytes are never served.
 		return nil, tierOrigin, false
 	}
-	p.cachePut(key, promoted)
+	p.cachePut(key, promoted, e.sum)
 	p.metrics.Inc("nocdn.cache.promotions")
 	return promoted, tierDisk, true
 }
@@ -382,11 +386,12 @@ func (p *Peer) backfill(origin, base, key, provider, path string, reqHdr http.He
 		if resp.StatusCode != http.StatusOK {
 			return nil, tierOrigin, fmt.Errorf("nocdn: origin status %d for %s", resp.StatusCode, path)
 		}
-		data, err := readBodyPooled(resp)
+		data, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, tierOrigin, err
 		}
-		m := metaFromHeaders(resp.Header, HashBytes(data), p.now())
+		sum := sha256.Sum256(data)
+		m := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
 		if vary := resp.Header.Get("Vary"); vary != "" {
 			p.setVaryNames(base, parseVaryNames(vary))
 		}
@@ -397,7 +402,7 @@ func (p *Peer) backfill(origin, base, key, provider, path string, reqHdr http.He
 			p.cacheRemove(key, false)
 			p.setMeta(key, m) // keep headers for this serve
 		} else {
-			p.cachePut(key, data)
+			p.cachePut(key, data, sum)
 		}
 		return data, tierOrigin, nil
 	})
@@ -449,11 +454,12 @@ func (p *Peer) revalidate(origin, base, key, path string, old *entryMeta, reqHdr
 		return nil, nm, true, nil
 	case resp.StatusCode == http.StatusOK:
 		p.originFetches.Add(1)
-		body, err := readBodyPooled(resp)
+		body, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		nm := metaFromHeaders(resp.Header, HashBytes(body), p.now())
+		sum := sha256.Sum256(body)
+		nm := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
 		if vary := resp.Header.Get("Vary"); vary != "" {
 			p.setVaryNames(base, parseVaryNames(vary))
 		}
@@ -462,7 +468,7 @@ func (p *Peer) revalidate(origin, base, key, path string, old *entryMeta, reqHdr
 			p.cacheRemove(key, false)
 			p.setMeta(key, nm)
 		} else {
-			p.cachePut(key, body)
+			p.cachePut(key, body, sum)
 		}
 		return body, nm, false, nil
 	default:
@@ -625,34 +631,28 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	p.metrics.Observe("nocdn.cache.miss_seconds", elapsed)
 }
 
-// streamOutcome finishes a tierDiskStream serve: verify at rest, then hand
-// http.ServeContent an *io.SectionReader over the segment file (zero-copy,
-// Range included). Falls back to a full origin fetch when the entry
-// vanished or failed verification mid-flight.
+// streamOutcome finishes a tierDiskStream serve: the entry is verified at
+// rest through a private descriptor on its segment file, and the verified
+// bytes (the requested range of them) go out through that same descriptor
+// with sendfile — the response writer's ReadFrom gets an *io.LimitedReader
+// over an *os.File, the one shape net.sendFile accepts, so no object byte
+// crosses user space. Falls back to a full origin fetch when the entry
+// vanished or failed verification between the serve decision and the
+// stream.
 func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, sp *hpop.Span, origin, provider, path, key string, out serveOutcome) {
-	st := p.store.Load()
-	if st != nil {
-		if e, seg, ok := st.get(key); ok {
-			if err := st.verifyAtRest(key, e, seg); err != nil {
-				seg.release()
-			} else if p.Tamper.Load() {
-				data, err := st.readVerify(key, e, seg)
-				seg.release()
-				if err == nil {
-					data = corrupt(data) // copies; the segment is untouched
-					writeCacheHeaders(w.Header(), out)
-					p.servedBytes.Add(int64(len(data)))
-					p.metrics.Add("nocdn.cache.bytes.disk", float64(len(data)))
-					w.Write(data)
-					return
-				}
-			} else {
-				writeCacheHeaders(w.Header(), out)
-				cw := &countingResponseWriter{ResponseWriter: w}
-				http.ServeContent(cw, r, path, time.Time{}, sectionReader(e, seg))
-				seg.release()
-				p.servedBytes.Add(cw.n)
-				p.metrics.Add("nocdn.cache.bytes.disk", float64(cw.n))
+	if st := p.store.Load(); st != nil {
+		if f, e, ok := st.openVerified(key); ok {
+			defer f.Close()
+			if !p.Tamper.Load() {
+				p.sendFromSegment(w, r, sp, f, e, out)
+				return
+			}
+			// Tamper mode needs mutable bytes: read the verified entry
+			// whole and let writeOutcome corrupt a copy of it.
+			data := make([]byte, e.n)
+			if _, err := f.ReadAt(data, e.off); err == nil {
+				out.data = data
+				p.writeOutcome(w, r, out)
 				return
 			}
 		}
@@ -671,29 +671,65 @@ func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, sp *hpop.Sp
 	p.writeOutcome(w, r, fallback)
 }
 
+// sendFromSegment writes a verified disk entry read from f: headers and
+// range from writeHead, then the body by sendfile from f's file offset.
+func (p *Peer) sendFromSegment(w http.ResponseWriter, r *http.Request, sp *hpop.Span, f *os.File, e segEntry, out serveOutcome) {
+	start, end, ok := writeHead(w, r, out, int(e.n))
+	if !ok {
+		return
+	}
+	if _, err := f.Seek(e.off+int64(start), io.SeekStart); err != nil {
+		// Headers promised end-start bytes; sending none makes the server
+		// drop the connection, which the loader retries.
+		sp.SetError(err)
+		return
+	}
+	n, err := io.Copy(w, io.LimitReader(f, int64(end-start)))
+	if err != nil {
+		sp.SetError(err)
+	}
+	p.servedBytes.Add(n)
+	p.metrics.Add("nocdn.cache.bytes.disk", float64(n))
+}
+
 // writeOutcome writes an in-memory serve: headers, optional Range slice,
 // optional tamper corruption, body.
 func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOutcome) {
-	writeCacheHeaders(w.Header(), out)
-	data := out.data
+	start, end, ok := writeHead(w, r, out, len(out.data))
+	if !ok {
+		return
+	}
 	// data aliases the cache entry: it is only ever read (range slicing
 	// yields a sub-view), and the one transform below (corrupt) copies — so
 	// a cached object can never be poisoned in place.
-	if rng := r.Header.Get("Range"); rng != "" {
-		start, end, ok := parseRange(rng, len(data))
-		if !ok {
-			http.Error(w, "bad range", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		w.Header().Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", start, end-1, len(data)))
-		data = data[start:end]
-		w.WriteHeader(http.StatusPartialContent)
-	}
+	data := out.data[start:end]
 	if p.Tamper.Load() {
 		data = corrupt(data) // copies; never mutates the cached slice
 	}
 	p.servedBytes.Add(int64(len(data)))
 	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(len(data)))
 	w.Write(data)
+}
+
+// writeHead is the one range-aware response head for both cache tiers. It
+// resolves an optional single "bytes=a-b" Range against an object of size
+// bytes and writes the cache headers, Content-Length (so no object response
+// uses chunked framing) and, for a range, Content-Range with a 206. It
+// returns the [start, end) span to send; ok is false once it has answered
+// an unsatisfiable range with 416.
+func writeHead(w http.ResponseWriter, r *http.Request, out serveOutcome, size int) (start, end int, ok bool) {
+	hdr := w.Header()
+	writeCacheHeaders(hdr, out)
+	start, end, status := 0, size, http.StatusOK
+	if rng := r.Header.Get("Range"); rng != "" {
+		if start, end, ok = parseRange(rng, size); !ok {
+			http.Error(w, "bad range", http.StatusRequestedRangeNotSatisfiable)
+			return 0, 0, false
+		}
+		hdr.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end-1, size))
+		status = http.StatusPartialContent
+	}
+	hdr.Set("Content-Length", strconv.Itoa(end-start))
+	w.WriteHeader(status)
+	return start, end, true
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,8 +24,9 @@ import (
 // fixed-cap segment files with an in-memory index (key -> segment, offset,
 // length, SHA-256). Disk hits are hash-verified before a single byte leaves
 // the box (the PR 2 "no unverified bytes" invariant, now held at rest), and
-// either promoted back to the memory tier or served zero-copy with
-// http.ServeContent over an *io.SectionReader on the segment's *os.File.
+// either promoted back to the memory tier or, too large for it, verified
+// and sent with sendfile through a private descriptor on the segment file
+// (openVerified).
 
 // ErrCacheCorrupt reports an at-rest hash mismatch; the entry has been
 // quarantined (dropped from the index) by the time a caller sees this.
@@ -59,9 +62,9 @@ type segEntry struct {
 }
 
 // segment is one append-only file. Readers take a reference before touching
-// the *os.File so reclamation can unlink a segment while a ServeContent
-// stream is still draining it: the name disappears immediately, the fd (and
-// the kernel's pages) live until the last reader releases.
+// the *os.File so reclamation can unlink a segment while a reader is still
+// using it: the name disappears immediately, the fd (and the kernel's
+// pages) live until the last reader releases.
 type segment struct {
 	id   uint64
 	path string
@@ -341,15 +344,22 @@ func (s *segmentStore) put(key string, data []byte, sum [sha256.Size]byte) error
 	seg := s.active
 	off := seg.size
 
-	rec := make([]byte, recLen)
-	copy(rec, segMagic)
-	binary.LittleEndian.PutUint16(rec[4:6], uint16(len(key)))
-	binary.LittleEndian.PutUint32(rec[6:10], uint32(len(data)))
-	copy(rec[10:10+sha256.Size], sum[:])
-	copy(rec[segHeaderSize:], key)
-	copy(rec[segHeaderSize+len(key):], data)
+	// Header and key, then the data in place: a second write call costs
+	// less than copying a multi-megabyte object into one record buffer.
+	// A failed write leaves seg.size unmoved, so the next append
+	// overwrites whatever part landed.
+	head := make([]byte, segHeaderSize+len(key))
+	copy(head, segMagic)
+	binary.LittleEndian.PutUint16(head[4:6], uint16(len(key)))
+	binary.LittleEndian.PutUint32(head[6:10], uint32(len(data)))
+	copy(head[10:10+sha256.Size], sum[:])
+	copy(head[segHeaderSize:], key)
 
-	if _, err := seg.f.WriteAt(rec, off); err != nil {
+	if _, err := seg.f.WriteAt(head, off); err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("nocdn: segment append: %w", err)
+	}
+	if _, err := seg.f.WriteAt(data, off+int64(len(head))); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("nocdn: segment append: %w", err)
 	}
@@ -471,11 +481,47 @@ func (s *segmentStore) contains(key string) bool {
 	return ok
 }
 
-// sectionReader returns a reader over exactly the entry's data bytes — the
-// zero-copy serving shape: http.ServeContent hands this to the response
-// writer, and the bytes go file -> socket without a userspace object copy.
+// sectionReader returns a reader over exactly the entry's data bytes on the
+// store's shared descriptor of its segment.
 func sectionReader(e segEntry, seg *segment) *io.SectionReader {
 	return io.NewSectionReader(seg.f, e.off, e.n)
+}
+
+// openVerified opens a private descriptor on key's segment file, then
+// hash-verifies the entry through it (quarantining on mismatch), so the
+// bytes verified are the bytes the caller sends. The open happens under mu,
+// where reclamation cannot unlink the file between the index lookup and
+// the open; once open, the descriptor keeps the bytes alive whatever
+// happens to the name, and an append-only segment never rewrites them. The
+// descriptor is the caller's to close. ok is false when the entry is gone:
+// not indexed, corrupt, or on a segment file removed outside the store.
+func (s *segmentStore) openVerified(key string) (*os.File, segEntry, bool) {
+	s.mu.Lock()
+	e, ok := s.index[key]
+	seg := s.segments[e.seg]
+	if !ok || seg == nil {
+		s.mu.Unlock()
+		return nil, segEntry{}, false
+	}
+	f, err := os.Open(seg.path)
+	lost := 0
+	if errors.Is(err, fs.ErrNotExist) {
+		lost = s.dropLostLocked(seg)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		if lost > 0 {
+			s.quarantined.Add(int64(lost))
+			s.met().Add("nocdn.cache.quarantined", float64(lost))
+			s.publishGauges()
+		}
+		return nil, segEntry{}, false
+	}
+	if err := s.verifyAtRest(key, e, io.NewSectionReader(f, e.off, e.n)); err != nil {
+		f.Close()
+		return nil, segEntry{}, false
+	}
+	return f, e, true
 }
 
 // readVerify reads the entry's data into a fresh exact-size slice and
@@ -496,12 +542,13 @@ func (s *segmentStore) readVerify(key string, e segEntry, seg *segment) ([]byte,
 	return data, nil
 }
 
-// verifyAtRest streams the entry through SHA-256 with a pooled chunk buffer
-// (no whole-object allocation) and quarantines on mismatch.
-func (s *segmentStore) verifyAtRest(key string, e segEntry, seg *segment) error {
+// verifyAtRest streams the entry's bytes from src through SHA-256 with a
+// pooled chunk buffer (no whole-object allocation) and quarantines on
+// mismatch.
+func (s *segmentStore) verifyAtRest(key string, e segEntry, src io.Reader) error {
 	h := sha256.New()
 	buf := chunkPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(h, sectionReader(e, seg), *buf)
+	_, err := io.CopyBuffer(h, src, *buf)
 	chunkPool.Put(buf)
 	if err != nil {
 		s.quarantine(key, e)
@@ -531,6 +578,25 @@ func (s *segmentStore) quarantine(key string, e segEntry) {
 	s.publishGauges()
 }
 
+// dropLostLocked forgets a segment whose file is gone although the store
+// never reclaimed it (removed outside the process) and returns how many
+// entries went with it: all are dropped from the index at once, and an
+// active segment is replaced by the next append, so no key keeps resolving
+// to a file that cannot be opened (mu held).
+func (s *segmentStore) dropLostLocked(seg *segment) int {
+	for key := range seg.live {
+		delete(s.index, key)
+	}
+	lost := len(seg.live)
+	seg.live = make(map[string]struct{})
+	if seg == s.active {
+		s.active = nil
+	}
+	s.order = slices.DeleteFunc(s.order, func(id uint64) bool { return id == seg.id })
+	s.condemnLocked(seg)
+	return lost
+}
+
 // scrub hash-verifies every indexed entry at rest, quarantining mismatches.
 // It pins one segment at a time and never blocks writers for longer than an
 // index snapshot.
@@ -550,7 +616,7 @@ func (s *segmentStore) scrub() (checked, quarantined int) {
 			continue // evicted or superseded since the snapshot
 		}
 		checked++
-		err := s.verifyAtRest(key, e, seg)
+		err := s.verifyAtRest(key, e, sectionReader(e, seg))
 		seg.release()
 		if err != nil {
 			quarantined++

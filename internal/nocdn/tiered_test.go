@@ -112,7 +112,7 @@ func TestTieredSpillAndPromote(t *testing.T) {
 
 // TestTieredLargeObjectStreams: an object too big for any memory shard must
 // be cached on disk and served (zero-copy path) without an origin refetch,
-// including Range requests via http.ServeContent.
+// including Range requests.
 func TestTieredLargeObjectStreams(t *testing.T) {
 	big := obj(42, 300<<10) // 300 KiB vs 4 KiB memory shards
 	objects := map[string][]byte{"/big": big}
